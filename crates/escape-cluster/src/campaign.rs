@@ -83,6 +83,12 @@ pub enum FaultAtom {
     /// Crashes tear a seeded number of bytes off the victim's newest WAL
     /// segment, so restarts exercise torn-tail recovery.
     TornTail,
+    /// Kill the leader inside a proposal, after its `AppendEntries` went
+    /// out but before its WAL barrier: the entry reaches the followers
+    /// while its unsynced WAL buffer dies with the leader (a leader kill
+    /// in its own right; combine with [`FaultAtom::RestartKilled`] to
+    /// bring the amnesiac back).
+    KillBeforeBarrier,
 }
 
 impl fmt::Display for FaultAtom {
@@ -113,6 +119,7 @@ impl fmt::Display for FaultAtom {
             FaultAtom::TransientIo(p) => write!(f, "transient-io({p:.2})"),
             FaultAtom::DiskFull(after) => write!(f, "disk-full({after})"),
             FaultAtom::TornTail => write!(f, "torn-tail"),
+            FaultAtom::KillBeforeBarrier => write!(f, "kill-before-barrier"),
         }
     }
 }
@@ -140,6 +147,7 @@ impl FaultPlan {
                     | FaultAtom::TransientIo(_)
                     | FaultAtom::DiskFull(_)
                     | FaultAtom::TornTail
+                    | FaultAtom::KillBeforeBarrier
             )
         })
     }
@@ -178,6 +186,7 @@ pub const SCENARIO_NAMES: &[&str] = &[
     "disk-full",
     "disk-full-failover",
     "kitchen-sink",
+    "kill-before-barrier",
 ];
 
 /// The plan a scenario name denotes, or `None` for an unknown name.
@@ -220,6 +229,7 @@ pub fn scenario_plan(name: &str) -> Option<FaultPlan> {
             FaultAtom::TornTail,
             FaultAtom::RestartKilled,
         ],
+        "kill-before-barrier" => vec![FaultAtom::KillBeforeBarrier, FaultAtom::RestartKilled],
         _ => return None,
     };
     Some(FaultPlan { atoms })
@@ -482,7 +492,8 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
     let mut spec = FaultSpec::none();
     let mut torn_tail = false;
     let mut disk_full_after: Option<u64> = None;
-    let kill_leader = plan.has(|a| matches!(a, FaultAtom::KillLeader));
+    let before_barrier = plan.has(|a| matches!(a, FaultAtom::KillBeforeBarrier));
+    let kill_leader = before_barrier || plan.has(|a| matches!(a, FaultAtom::KillLeader));
     let restart_killed = plan.has(|a| matches!(a, FaultAtom::RestartKilled));
     let one_way_cut = plan.has(|a| matches!(a, FaultAtom::OneWayCut));
     for atom in &plan.atoms {
@@ -503,7 +514,10 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
             FaultAtom::TransientIo(p) => spec.transient_io_p = *p,
             FaultAtom::DiskFull(after) => disk_full_after = Some(*after),
             FaultAtom::TornTail => torn_tail = true,
-            FaultAtom::KillLeader | FaultAtom::RestartKilled | FaultAtom::OneWayCut => {}
+            FaultAtom::KillLeader
+            | FaultAtom::KillBeforeBarrier
+            | FaultAtom::RestartKilled
+            | FaultAtom::OneWayCut => {}
             FaultAtom::Skew { .. } => {}
         }
     }
@@ -604,7 +618,14 @@ pub fn run_trial(plan: &FaultPlan, seed: u64, opts: &TrialOptions) -> TrialOutco
         match cluster.current_leader() {
             Some(leader) => {
                 let old_term = cluster.node(leader).current_term();
-                cluster.crash(leader);
+                if before_barrier {
+                    let command = Bytes::from(format!("campaign-{seed}-unsynced"));
+                    if cluster.propose_and_crash_before_barrier(command).is_err() {
+                        cluster.crash(leader);
+                    }
+                } else {
+                    cluster.crash(leader);
+                }
                 killed = Some(leader);
                 let horizon = cluster.now() + Duration::from_secs(10);
                 if cluster.run_until_new_leader(old_term, horizon).is_none() {
@@ -950,6 +971,52 @@ mod tests {
         );
         let outcome = run_trial(&plan, 7, &TrialOptions::default());
         assert!(outcome.passed(), "failures: {:?}", outcome.failures);
+    }
+
+    /// The crash window the append half opens: the leader dies after its
+    /// entry went out but before its barrier, so the entry survives on
+    /// the followers and commits under the successor, while the
+    /// restarted leader recovers without it from its own disk and then
+    /// catches up — safely.
+    #[test]
+    fn kill_before_barrier_loses_the_entry_only_on_the_leaders_disk() {
+        let root = fresh_root(5);
+        let harness = CampaignStorage::new(root.clone(), FaultSpec::none(), false, 5);
+        let mut cluster =
+            SimCluster::with_storage(trial_config(5, LossModel::None), Box::new(harness)).unwrap();
+        cluster.bootstrap(Duration::from_millis(500));
+        let command = Bytes::from_static(b"unsynced");
+        let (leader, index) = cluster
+            .propose_and_crash_before_barrier(command.clone())
+            .unwrap();
+        let term = cluster.node(leader).current_term();
+        let successor = cluster
+            .run_until_new_leader(term, cluster.now() + Duration::from_secs(10))
+            .expect("a successor");
+        cluster.run_for(Duration::from_millis(500));
+        let payload = |cluster: &SimCluster, id: ServerId| {
+            cluster
+                .node(id)
+                .log()
+                .entry(index)
+                .and_then(|e| e.payload.as_command().cloned())
+        };
+        assert_eq!(payload(&cluster, successor), Some(command.clone()));
+        assert!(cluster.node(successor).commit_index() >= index);
+
+        cluster.restart(leader);
+        assert!(
+            cluster.node(leader).log().last_index() < index,
+            "the unsynced entry must not survive the leader's crash"
+        );
+        cluster.run_for(Duration::from_secs(1));
+        assert_eq!(payload(&cluster, leader), Some(command), "caught up");
+        assert!(
+            cluster.safety().is_safe(),
+            "{:?}",
+            cluster.safety().violations()
+        );
+        let _ = std::fs::remove_dir_all(root);
     }
 
     /// A quiet plan exercises the same pipeline with no faults — the

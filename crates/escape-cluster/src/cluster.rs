@@ -614,14 +614,46 @@ impl SimCluster {
     ///
     /// Returns [`ProposeError::NotLeader`] if no live leader exists.
     pub fn propose(&mut self, command: Bytes) -> Result<LogIndex, ProposeError> {
+        let (leader, index) = self.propose_append(command)?;
+        // A fail-stop on the append half's persist already crashed it.
+        if self.is_alive(leader) {
+            self.tick_storage();
+            let now = self.node_now(leader);
+            let actions = self.nodes[leader.index()].sync_barrier(now);
+            self.finish(leader, actions);
+        }
+        Ok(index)
+    }
+
+    /// Proposes `command` and crashes the leader between the two halves:
+    /// its `AppendEntries` are already on the wire, but its WAL barrier
+    /// never runs, so with a storage harness the entry is lost from its
+    /// own disk (the crash window Ongaro §10.2.1 opens). Returns the
+    /// crashed leader and the entry's index.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ProposeError::NotLeader`] if no live leader exists.
+    pub fn propose_and_crash_before_barrier(
+        &mut self,
+        command: Bytes,
+    ) -> Result<(ServerId, LogIndex), ProposeError> {
+        let (leader, index) = self.propose_append(command)?;
+        self.crash(leader);
+        Ok((leader, index))
+    }
+
+    /// The append half of a proposal through the current leader, its
+    /// sends handed to the network.
+    fn propose_append(&mut self, command: Bytes) -> Result<(ServerId, LogIndex), ProposeError> {
         let leader = self
             .current_leader()
             .ok_or(ProposeError::NotLeader { hint: None })?;
         self.tick_storage();
         let now = self.node_now(leader);
-        let (index, actions) = self.nodes[leader.index()].propose(command, now)?;
+        let (indexes, actions) = self.nodes[leader.index()].propose_append(vec![command], now)?;
         self.finish(leader, actions);
-        Ok(index)
+        Ok((leader, indexes[0]))
     }
 
     // ---- the pump ----

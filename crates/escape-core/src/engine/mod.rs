@@ -138,6 +138,9 @@ pub enum Action {
     Applied {
         /// Log position applied.
         index: LogIndex,
+        /// Term of the applied entry: a waiter that proposed at `index`
+        /// under another term lost its entry to a successor's.
+        term: Term,
         /// The state machine's response payload.
         result: Bytes,
     },
@@ -265,7 +268,9 @@ impl NodeBuilder {
 
     /// Sets the durable-storage sink (defaults to
     /// [`NullStorage`]). Every persistent-state mutation is recorded here
-    /// *before* the actions it produced are returned to the runtime.
+    /// *before* the actions it produced are returned to the runtime — the
+    /// leader's own new entries excepted, which [`Node::propose_append`]
+    /// may ship ahead of their barrier (see there).
     pub fn storage(mut self, storage: Box<dyn Storage>) -> Self {
         self.storage = storage;
         self
@@ -358,6 +363,9 @@ impl NodeBuilder {
             state_machine,
             storage: self.storage,
             storage_dirty: false,
+            tail_unsynced: false,
+            // A recovered log came off the disk, so all of it is durable.
+            durable_index: log.last_index(),
             options: self.options,
             current_term,
             voted_for,
@@ -437,6 +445,17 @@ pub struct Node {
     /// `true` when persisted-but-unsynced records exist; cleared by the
     /// pre-return [`Node::sync_storage`].
     storage_dirty: bool,
+    /// `true` while the append half's entries wait for the flush half
+    /// ([`Node::sync_barrier`]). Unlike `storage_dirty` it does not force
+    /// a barrier on other entry points: nothing they send needs those
+    /// entries durable. Any barrier that does run covers them.
+    tail_unsynced: bool,
+    /// Highest log index known durable on this node's own storage: set
+    /// to the log tail by every completed barrier, and by nothing else.
+    /// A leader counts itself toward the commit quorum only up to here
+    /// (Ongaro, *Consensus*, 2014, §10.2.1), which is what lets
+    /// [`Node::propose_append`] ship entries before they are synced.
+    durable_index: LogIndex,
     options: Options,
 
     // ---- Raft persistent state ----
@@ -628,6 +647,9 @@ impl Node {
     pub fn start(&mut self, now: Time) -> Vec<Action> {
         let mut out = Vec::new();
         self.arm_election_timer(now, &mut out);
+        // Nothing is normally buffered at boot; the barrier is a no-op
+        // then, and keeps "no actions before the WAL" unconditional.
+        self.sync_storage(now, &mut out);
         out
     }
 
@@ -703,7 +725,7 @@ impl Node {
                 self.on_install_snapshot_reply(from, r, now, &mut out)
             }
         }
-        self.sync_storage(now);
+        self.sync_storage(now, &mut out);
         out
     }
 
@@ -723,7 +745,7 @@ impl Node {
             }
             _ => {} // stale epoch: the timer was re-armed or cancelled
         }
-        self.sync_storage(now);
+        self.sync_storage(now, &mut out);
         out
     }
 
@@ -753,12 +775,45 @@ impl Node {
     /// [`Node::propose`] cannot amortize. Returns the assigned indexes
     /// (always consecutive) alongside the actions.
     ///
+    /// Exactly [`Node::propose_append`] followed by
+    /// [`Node::sync_barrier`]. A runtime that transmits the append half's
+    /// sends before running the barrier overlaps the leader's own disk
+    /// write with the followers' (see [`Node::propose_append`]).
+    ///
     /// # Errors
     ///
     /// Returns [`ProposeError::NotLeader`] (with a leader hint when known)
     /// if this node does not currently lead. An empty batch on a leader
     /// returns `Ok` with no indexes and no actions.
     pub fn propose_batch(
+        &mut self,
+        commands: Vec<Bytes>,
+        now: Time,
+    ) -> Result<(Vec<LogIndex>, Vec<Action>), ProposeError> {
+        let (indexes, mut out) = self.propose_append(commands, now)?;
+        out.extend(self.sync_barrier(now));
+        Ok((indexes, out))
+    }
+
+    /// The append half of [`Node::propose_batch`]: appends the batch to
+    /// the log, buffers it in storage, and stages the replication sends —
+    /// but runs **no** storage barrier, so the returned `AppendEntries`
+    /// may carry entries not yet durable here. That is safe because the
+    /// leader counts itself toward the commit quorum only once its own
+    /// barrier covers an entry (Ongaro, *Consensus*, 2014, §10.2.1): the
+    /// leader's disk is just one more replica. The only unsynced records
+    /// this leaves behind are the leader's own new entries — votes,
+    /// terms, configurations and follower acks stay write-before-send.
+    ///
+    /// Follow it with [`Node::sync_barrier`]. Until a barrier covers the
+    /// batch, only follower acks count toward its commit (a majority of
+    /// followers suffices), never the leader's own copy; inputs handled
+    /// in between do not sync it unless they sync something of their own.
+    ///
+    /// # Errors
+    ///
+    /// As [`Node::propose_batch`].
+    pub fn propose_append(
         &mut self,
         commands: Vec<Bytes>,
         now: Time,
@@ -783,10 +838,19 @@ impl Node {
         self.persist_tail_entries(indexes.len());
         let mut out = Vec::new();
         self.flush_replication(now, &mut out);
-        // A single-node cluster commits immediately.
-        self.advance_commit(now, &mut out);
-        self.sync_storage(now);
         Ok((indexes, out))
+    }
+
+    /// The flush half of [`Node::propose_batch`]: runs the storage
+    /// barrier and, when it makes new entries durable on a leader,
+    /// re-evaluates the commit index — a single-node cluster commits
+    /// here, and so does an entry whose follower acks arrived while the
+    /// barrier was pending. A no-op when nothing is buffered.
+    pub fn sync_barrier(&mut self, now: Time) -> Vec<Action> {
+        let mut out = Vec::new();
+        self.storage_dirty |= std::mem::take(&mut self.tail_unsynced);
+        self.sync_storage(now, &mut out);
+        out
     }
 
     /// Accepts a batch of linearizable queries that never touch the log.
@@ -847,7 +911,7 @@ impl Node {
             round,
         });
         self.release_ready_reads(&mut out);
-        self.sync_storage(now);
+        self.sync_storage(now, &mut out);
         Ok((batch, out))
     }
 
@@ -1112,8 +1176,11 @@ impl Node {
     // Each helper records one already-applied mutation in the storage sink
     // and marks it dirty; `sync_storage` runs before any public entry
     // point returns its actions, so nothing the runtime transmits can
-    // outrun the WAL. Storage failures are fatal: a node that cannot
-    // persist its vote must stop rather than risk double-voting later.
+    // outrun the WAL. The one exception is `propose_append`, whose sends
+    // may carry the leader's own unsynced entries; `durable_index` keeps
+    // those out of the leader's commit vote until a barrier covers them
+    // (§10.2.1). Storage failures are fatal: a node that cannot persist
+    // its vote must stop rather than risk double-voting later.
 
     /// Records the current term and vote.
     pub(super) fn persist_hard_state(&mut self) {
@@ -1141,8 +1208,8 @@ impl Node {
 
     /// Records the last `count` entries appended at the log tail as one
     /// storage batch — the group-commit write path: every record lands in
-    /// the WAL's buffer, and the single pre-return
-    /// [`Node::sync_storage`] flush covers them all.
+    /// the WAL's buffer, and the flush half's single barrier
+    /// ([`Node::sync_barrier`]) covers them all.
     pub(super) fn persist_tail_entries(&mut self, count: usize) {
         let last = self.log.last_index();
         let from = LogIndex::new(last.get() - count as u64);
@@ -1151,7 +1218,7 @@ impl Node {
             .persist_entries(&entries)
             // lint:allow(panic): fail-stop by design — see the module note above
             .expect("storage failed to persist log entries");
-        self.storage_dirty = true;
+        self.tail_unsynced = true;
     }
 
     /// Records an accepted follower-side `AppendEntries` mutation.
@@ -1193,15 +1260,26 @@ impl Node {
     }
 
     /// Flushes buffered storage records; called before every public entry
-    /// point returns, so returned actions imply durable state. Each actual
-    /// flush is one WAL sync barrier on the event stream: everything
-    /// recorded earlier this entry point is durable past it.
-    fn sync_storage(&mut self, now: Time) {
-        if self.storage_dirty {
+    /// point returns (the append half excepted), so returned actions imply
+    /// durable state. Each actual flush is one WAL sync barrier on the
+    /// event stream: everything recorded earlier is durable past it. A
+    /// barrier that makes new entries durable advances `durable_index`
+    /// and, on a leader, re-runs commit advancement in the same entry
+    /// point; applying may compact and persist a snapshot, which the
+    /// loop then syncs too.
+    fn sync_storage(&mut self, now: Time, out: &mut Vec<Action>) {
+        while self.storage_dirty {
             // lint:allow(panic): fail-stop by design — see the module note above
             self.storage.sync().expect("storage failed to sync");
             self.storage_dirty = false;
+            self.tail_unsynced = false;
             self.emit(now, Event::WalSyncBarrier);
+            let last = self.log.last_index();
+            let advanced = last > self.durable_index;
+            self.durable_index = last;
+            if advanced {
+                self.advance_commit(now, out);
+            }
         }
     }
 

@@ -539,6 +539,9 @@ impl Node {
 
     /// Advances the commit index to the highest replicated-on-a-quorum entry
     /// of the *current* term (the Raft §5.4.2 restriction), then applies.
+    /// The leader's own copy counts only once a storage barrier covered it
+    /// (`durable_index`, Ongaro §10.2.1): entries shipped by
+    /// [`Node::propose_append`] may still sit in its WAL buffer.
     pub(super) fn advance_commit(&mut self, now: Time, out: &mut Vec<Action>) {
         if self.role != Role::Leader {
             return;
@@ -546,11 +549,12 @@ impl Node {
         let mut candidate = self.log.last_index();
         while candidate > self.commit_index {
             if self.log.term_at(candidate) == Some(self.current_term) {
-                let replicas = 1 + self
-                    .match_index
-                    .values()
-                    .filter(|m| **m >= candidate)
-                    .count();
+                let replicas = usize::from(self.durable_index >= candidate)
+                    + self
+                        .match_index
+                        .values()
+                        .filter(|m| **m >= candidate)
+                        .count();
                 if replicas >= self.quorum() {
                     break;
                 }
@@ -601,7 +605,11 @@ impl Node {
             if let Some(command) = entry.payload.as_command() {
                 let result = self.state_machine.apply(index, command);
                 self.metrics.commands_applied += 1;
-                out.push(Action::Applied { index, result });
+                out.push(Action::Applied {
+                    index,
+                    term: entry.term,
+                    result,
+                });
             }
         }
         self.maybe_compact();

@@ -1294,6 +1294,159 @@ fn propose_batch_persists_all_entries_before_one_sync() {
     );
 }
 
+// ---- the two proposal halves (Ongaro §10.2.1) ----
+
+/// A successful append ack from `from` covering everything through
+/// `match_hint`, under the leader's current term.
+fn ack(node: &Node, match_hint: u64) -> Message {
+    Message::AppendEntriesReply(crate::message::AppendEntriesReply {
+        term: node.current_term(),
+        success: true,
+        match_hint: LogIndex::new(match_hint),
+        status: None,
+        seq: 0,
+    })
+}
+
+fn committed(actions: &[Action]) -> Option<LogIndex> {
+    actions.iter().rev().find_map(|a| match a {
+        Action::Committed { index } => Some(*index),
+        _ => None,
+    })
+}
+
+/// The append half ships the batch but leaves it unsynced, so one
+/// follower ack is not a quorum: the leader's own copy counts only once
+/// the flush half's barrier covers it.
+#[test]
+fn leader_counts_itself_only_after_its_barrier() {
+    let calls = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+    let ids: Vec<ServerId> = (1..=3).map(ServerId::new).collect();
+    let mut node = Node::builder(ids[0], ids.clone())
+        .policy(Box::new(RaftPolicy::with_source(Box::new(
+            ScriptedTimeouts::new(vec![Duration::from_millis(1000)]),
+        ))))
+        .options(Options {
+            leader_noop: false,
+            vote_retry_interval: None,
+            ..Options::default()
+        })
+        .storage(Box::new(TracingStorage {
+            calls: calls.clone(),
+        }))
+        .build();
+    node.start(Time::ZERO);
+    let token = TimerToken {
+        kind: TimerKind::Election,
+        epoch: 1,
+    };
+    let t = Time::from_millis(1000);
+    node.handle_timer(token, t);
+    let vote = Message::RequestVoteReply(crate::message::RequestVoteReply {
+        term: node.current_term(),
+        vote_granted: true,
+    });
+    node.handle_message(ids[1], vote, t);
+    assert!(node.is_leader());
+
+    calls.borrow_mut().clear();
+    let (indexes, actions) = node
+        .propose_append(vec![Bytes::from_static(b"a")], t)
+        .unwrap();
+    assert_eq!(indexes, vec![LogIndex::new(1)]);
+    assert_eq!(
+        appends_to(&actions, ids[1]).len(),
+        1,
+        "the append half ships"
+    );
+    assert_eq!(
+        *calls.borrow(),
+        vec!["entries n=1 first=1".to_string()],
+        "buffered, not synced"
+    );
+
+    // One follower ack: follower + leader would be a quorum of 3, but the
+    // leader's copy is not durable yet — and the ack's entry point does
+    // not sync it on the leader's behalf.
+    let actions = node.handle_message(ids[1], ack(&node, 1), t);
+    assert_eq!(committed(&actions), None);
+    assert_eq!(node.commit_index(), LogIndex::ZERO);
+    assert!(calls.borrow().iter().all(|c| c != "sync"));
+
+    // The flush half's barrier makes it durable and commits it at once.
+    let actions = node.sync_barrier(t);
+    assert_eq!(calls.borrow().last().map(String::as_str), Some("sync"));
+    assert_eq!(committed(&actions), Some(LogIndex::new(1)));
+    assert!(actions
+        .iter()
+        .any(|a| matches!(a, Action::Applied { index, term, .. }
+            if *index == LogIndex::new(1) && *term == node.current_term())));
+    assert!(
+        node.sync_barrier(t).is_empty(),
+        "a clean barrier is a no-op"
+    );
+}
+
+/// Two follower acks are a quorum of 3 without the leader: the entry
+/// commits before the leader's own barrier has run.
+#[test]
+fn follower_majority_commits_before_the_leader_barrier() {
+    let (mut node, ids) = undelivered_leader(Options {
+        vote_retry_interval: None,
+        ..Options::default()
+    });
+    let t = Time::from_millis(1000);
+    // Commit the no-op the ordinary way first.
+    for peer in [ids[1], ids[2]] {
+        node.handle_message(peer, ack(&node, 1), t);
+    }
+    assert_eq!(node.commit_index(), LogIndex::new(1));
+
+    let (indexes, _) = node
+        .propose_append(vec![Bytes::from_static(b"b")], t)
+        .unwrap();
+    let index = indexes[0];
+    let actions = node.handle_message(ids[1], ack(&node, index.get()), t);
+    assert_eq!(committed(&actions), None, "one ack + an unsynced leader");
+    let actions = node.handle_message(ids[2], ack(&node, index.get()), t);
+    assert_eq!(committed(&actions), Some(index), "two acks need no leader");
+    let actions = node.sync_barrier(t);
+    assert_eq!(committed(&actions), None, "already committed");
+    assert_eq!(node.commit_index(), index);
+}
+
+/// A single-node cluster has no acks to wait for: the append half alone
+/// commits nothing, the flush half commits, and `propose_batch` (both
+/// halves) still commits before it returns.
+#[test]
+fn single_node_commits_at_its_barrier() {
+    let id = ServerId::new(1);
+    let mut pump = Pump::new(vec![Node::builder(id, vec![id])
+        .policy(Box::new(RaftPolicy::randomized(
+            Duration::from_millis(10),
+            Duration::from_millis(20),
+            1,
+        )))
+        .build()]);
+    pump.fire(id, TimerKind::Election);
+    let node = pump.node_mut(1);
+    assert_eq!(
+        node.commit_index(),
+        LogIndex::new(1),
+        "no-op commits at election"
+    );
+    let now = Time::from_millis(100);
+    let (indexes, actions) = node
+        .propose_append(vec![Bytes::from_static(b"x")], now)
+        .unwrap();
+    assert_eq!(committed(&actions), None);
+    assert_eq!(committed(&node.sync_barrier(now)), Some(indexes[0]));
+    let (indexes, actions) = node
+        .propose_batch(vec![Bytes::from_static(b"y")], now)
+        .unwrap();
+    assert_eq!(committed(&actions), Some(indexes[0]));
+}
+
 // ---- linearizable reads (ReadIndex + leases) ----
 
 fn lease_options() -> Options {

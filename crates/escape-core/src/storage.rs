@@ -13,6 +13,12 @@
 //! [`Storage::sync`] before returning any actions from a public entry
 //! point — which is what guarantees "durable before the corresponding
 //! message is sent", since the runtime only transmits returned actions.
+//! Votes, terms, configurations and follower acks follow that rule
+//! without exception. The leader's own new entries are the one refinement
+//! (Ongaro, *Consensus*, 2014, §10.2.1): the append half of a proposal
+//! ([`Node::propose_append`](crate::engine::Node::propose_append)) ships
+//! them before its barrier, and the leader counts itself toward their
+//! commit quorum only once a completed `sync` covers them.
 //!
 //! [`NullStorage`] keeps the simulator and benches allocation-free; the
 //! `escape-storage` crate provides the real write-ahead-log + snapshot
@@ -32,7 +38,9 @@ use crate::types::{LogIndex, ServerId, Term};
 ///
 /// All hooks are mutation notifications: the engine has already updated
 /// its in-memory state when a hook runs, and it will not emit the actions
-/// produced by that mutation until [`Storage::sync`] has returned `Ok`.
+/// produced by that mutation until [`Storage::sync`] has returned `Ok` —
+/// except the leader's replication of its own new entries (see the
+/// module docs).
 /// Implementations may buffer writes between `sync` calls.
 ///
 /// Errors are fatal by design: the engine panics if persistence fails,

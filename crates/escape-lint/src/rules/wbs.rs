@@ -13,10 +13,24 @@
 //! assignment to `current_term` or `voted_for` must be followed (same
 //! function) by a `persist_hard_state` call — double-voting after a
 //! restart is the one mistake Raft never forgives.
+//!
+//! A third sub-check pins where the barrier runs: every public engine
+//! entry point that returns actions must reach `sync_storage` (directly
+//! or through another function of the same file), so what the runtime
+//! transmits is durable first. The one exemption is the append half of a
+//! proposal, [`BARRIER_EXEMPT`]: it ships the leader's own new entries
+//! before their barrier, which is safe because the leader counts itself
+//! toward their commit quorum only once a barrier covers them (Ongaro,
+//! *Consensus: Bridging Theory and Practice*, 2014, §10.2.1). Votes,
+//! terms, configurations and follower acks get no such refinement.
 
 use crate::lexer::SourceFile;
 use crate::report::{Finding, Rule};
 use crate::rules::{is_punct, text};
+
+/// Public entry points allowed to return actions without reaching the
+/// barrier: only the append half of a proposal (see the module docs).
+pub const BARRIER_EXEMPT: [&str; 1] = ["propose_append"];
 
 /// Durability helpers — reaching storage through anything else is new
 /// code the lint should be taught about.
@@ -132,6 +146,76 @@ pub fn check(file: &SourceFile) -> Vec<Finding> {
                     ),
                 ));
             }
+        }
+    }
+    findings.extend(unbarriered_entry_points(file));
+    findings
+}
+
+/// (c) Public entry points returning actions that never reach
+/// `sync_storage`, following calls between functions of this file.
+fn unbarriered_entry_points(file: &SourceFile) -> Vec<Finding> {
+    let toks = &file.tokens;
+    let bodies: Vec<(&str, (usize, usize))> = file
+        .functions
+        .iter()
+        .filter(|f| !file.is_test_code(f.start))
+        .filter_map(|f| f.body.map(|body| (f.name.as_str(), body)))
+        .collect();
+    // Names each function calls (`name(`), from its body's tokens.
+    let calls = |(open, close): (usize, usize)| -> Vec<&str> {
+        toks.iter()
+            .enumerate()
+            .filter(|(i, t)| t.start > open && t.end < close && is_punct(file, i + 1, b'('))
+            .map(|(_, t)| file.tok_str(t))
+            .collect()
+    };
+    let mut reaches: Vec<&str> = vec!["sync_storage"];
+    loop {
+        let before = reaches.len();
+        for &(name, body) in &bodies {
+            if !reaches.contains(&name) && calls(body).iter().any(|c| reaches.contains(c)) {
+                reaches.push(name);
+            }
+        }
+        if reaches.len() == before {
+            break;
+        }
+    }
+    let mut findings = Vec::new();
+    for func in &file.functions {
+        let Some((open, _)) = func.body else { continue };
+        if file.is_test_code(func.start)
+            || BARRIER_EXEMPT.contains(&func.name.as_str())
+            || reaches.contains(&func.name.as_str())
+        {
+            continue;
+        }
+        let Some(fn_tok) = toks.iter().position(|t| t.start == func.start) else {
+            continue;
+        };
+        // Exactly `pub fn` (not `pub(super)`), returning something that
+        // names `Action`.
+        let public = fn_tok > 0 && text(file, fn_tok - 1) == "pub";
+        let returns_actions = toks
+            .iter()
+            .enumerate()
+            .skip(fn_tok)
+            .take_while(|(_, t)| t.start < open)
+            .skip_while(|&(i, _)| !(is_punct(file, i, b'-') && is_punct(file, i + 1, b'>')))
+            .any(|(_, t)| file.tok_str(t) == "Action");
+        if public && returns_actions {
+            findings.push(Finding::new(
+                Rule::WriteBeforeSend,
+                &file.path,
+                toks[fn_tok].line,
+                format!(
+                    "`{}` returns actions without reaching sync_storage — what the \
+                     runtime transmits could outrun the WAL (only the append half, \
+                     {BARRIER_EXEMPT:?}, may return before its barrier)",
+                    func.name
+                ),
+            ));
         }
     }
     findings

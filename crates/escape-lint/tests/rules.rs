@@ -106,6 +106,26 @@ fn wbs_rule_trips_on_send_before_persist_and_unpersisted_hard_state() {
 }
 
 #[test]
+fn wbs_rule_requires_a_barrier_on_every_public_entry_point() {
+    let file = parse(
+        "crates/escape-core/src/engine/fixture.rs",
+        "escape-core",
+        include_str!("fixtures/wbs_barrier.rs"),
+    );
+    let findings = rules::wbs::check(&file);
+    let flagged: Vec<&str> = findings
+        .iter()
+        .filter(|f| f.message.contains("without reaching sync_storage"))
+        .map(|f| f.message.as_str())
+        .collect();
+    assert_eq!(flagged.len(), 1, "{findings:?}");
+    assert!(
+        flagged[0].starts_with("`forgets_the_barrier`"),
+        "{flagged:?}"
+    );
+}
+
+#[test]
 fn wbs_rule_passes_persist_first_ordering() {
     let file = parse(
         "crates/escape-core/src/engine/fixture.rs",

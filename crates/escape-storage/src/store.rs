@@ -516,9 +516,14 @@ mod tests {
     /// The group-commit crash window: a node killed **between** the
     /// buffered append and the `sync` barrier must come back with the
     /// synced prefix intact (nothing acked is lost) and without the
-    /// buffered suffix (which no ack or message ever referenced) — in
-    /// particular, a buffered-but-unsynced vote must vanish rather than
-    /// half-apply, so the node cannot be tricked into a double vote.
+    /// buffered suffix — in particular, a buffered-but-unsynced vote must
+    /// vanish rather than half-apply, so the node cannot be tricked into
+    /// a double vote. Votes, terms, configurations and follower acks are
+    /// never sent before their barrier. A leader's own new entries may
+    /// already be on the wire (the engine's append half ships them before
+    /// the barrier, Ongaro §10.2.1), but the leader never counted them
+    /// toward a commit on its own vote, so losing them here loses nothing
+    /// anyone was told is committed.
     #[test]
     fn crash_between_buffered_append_and_sync_loses_only_unacked_records() {
         let dir = scratch_dir("store-group-commit-crash");

@@ -222,7 +222,7 @@ impl InprocCluster {
             };
             let (tx, rx) = bounded(1);
             if inbox
-                .send(NodeInput::Propose {
+                .send(NodeInput::Write {
                     command: command.clone(),
                     reply: tx,
                 })
@@ -233,24 +233,11 @@ impl InprocCluster {
             let Some(wait) = remaining_until(deadline) else {
                 return Err(ClientError::Timeout);
             };
-            match rx.recv_timeout(wait.min(MAX_REPLY_WAIT)) {
-                Ok(Ok(index)) => {
-                    // Wait for application.
-                    let (atx, arx) = bounded(1);
-                    let _ = inbox.send(NodeInput::AwaitApplied {
-                        index,
-                        reply: atx,
-                    });
-                    let Some(wait) = remaining_until(deadline) else {
-                        return Err(ClientError::Timeout);
-                    };
-                    match arx.recv_timeout(wait) {
-                        Ok(result) => return Ok((index, result)),
-                        Err(_) => return Err(ClientError::Timeout),
-                    }
-                }
+            match rx.recv_timeout(wait) {
+                Ok(Ok(applied)) => return Ok(applied),
                 Ok(Err(ProposeError::NotLeader { .. })) => {
-                    // Leadership moved; retry.
+                    // Leadership moved (or a successor's entry took the
+                    // slot); retry.
                     std::thread::sleep(std::time::Duration::from_millis(10));
                 }
                 Err(_) => return Err(ClientError::Timeout),

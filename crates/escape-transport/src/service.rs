@@ -39,11 +39,11 @@ use escape_wire::{
 
 use crate::runtime::NodeInput;
 
-/// How long a completer waits for the engine's accept/read reply before
+/// How long a completer waits for the engine's read reply before
 /// answering [`ResponseBody::Unavailable`].
 const REPLY_TIMEOUT: Duration = Duration::from_secs(2);
-/// How long a completer waits for an accepted write to apply. Longer than
-/// [`REPLY_TIMEOUT`]: acceptance was fast, but the commit needs a quorum
+/// How long a completer waits for a write to apply. Longer than
+/// [`REPLY_TIMEOUT`]: acceptance is fast, but the commit needs a quorum
 /// round trip (possibly across a failover).
 const APPLY_TIMEOUT: Duration = Duration::from_secs(5);
 
@@ -89,9 +89,8 @@ pub struct ClientService {
 enum PendingOp {
     Write {
         id: u64,
-        /// The group inbox, for the follow-up `AwaitApplied`.
-        inbox: Sender<NodeInput>,
-        accept: Receiver<Result<LogIndex, ProposeError>>,
+        /// Index plus apply result, in one reply ([`NodeInput::Write`]).
+        applied: Receiver<Result<(LogIndex, Bytes), ProposeError>>,
     },
     Read {
         id: u64,
@@ -193,17 +192,10 @@ impl ClientService {
             } => match self.router.route(group, &key) {
                 RouteVerdict::Local(inbox) => {
                     let (tx, rx) = bounded(1);
-                    if inbox
-                        .send(NodeInput::Propose { command, reply: tx })
-                        .is_err()
-                    {
+                    if inbox.send(NodeInput::Write { command, reply: tx }).is_err() {
                         Some(ResponseBody::Unavailable)
                     } else {
-                        let op = PendingOp::Write {
-                            id,
-                            inbox,
-                            accept: rx,
-                        };
+                        let op = PendingOp::Write { id, applied: rx };
                         if completer_for(completers, group, resp_tx).send(op).is_err() {
                             Some(ResponseBody::Unavailable)
                         } else {
@@ -280,9 +272,9 @@ fn completer_for<'a>(
 fn complete_loop(ops: Receiver<PendingOp>, resp: Sender<ClientResponse>) {
     for op in ops.iter() {
         let (id, body) = match op {
-            PendingOp::Write { id, inbox, accept } => {
-                let body = match accept.recv_timeout(REPLY_TIMEOUT) {
-                    Ok(Ok(index)) => await_applied(&inbox, index),
+            PendingOp::Write { id, applied } => {
+                let body = match applied.recv_timeout(APPLY_TIMEOUT) {
+                    Ok(Ok((index, result))) => ResponseBody::Written { index, result },
                     Ok(Err(ProposeError::NotLeader { hint })) => ResponseBody::NotLeader { hint },
                     Err(_) => ResponseBody::Unavailable,
                 };
@@ -303,21 +295,5 @@ fn complete_loop(ops: Receiver<PendingOp>, resp: Sender<ClientResponse>) {
         if resp.send(ClientResponse { id, body }).is_err() {
             return; // connection gone; drain is pointless
         }
-    }
-}
-
-/// Second half of a write: the command was accepted at `index`; wait for
-/// it to apply so the response carries the state machine's result.
-fn await_applied(inbox: &Sender<NodeInput>, index: LogIndex) -> ResponseBody {
-    let (tx, rx) = bounded(1);
-    if inbox
-        .send(NodeInput::AwaitApplied { index, reply: tx })
-        .is_err()
-    {
-        return ResponseBody::Unavailable;
-    }
-    match rx.recv_timeout(APPLY_TIMEOUT) {
-        Ok(result) => ResponseBody::Written { index, result },
-        Err(_) => ResponseBody::Unavailable,
     }
 }
